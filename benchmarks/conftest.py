@@ -99,8 +99,7 @@ def make_bench_system(seed: str, capacity: int, params: str = "toy64",
                       system_bound: int | None = None,
                       auto_repartition: bool = True,
                       pipeline: bool = True,
-                      workers: int | None = 1,
-                      precompute: bool = False):
+                      workers: int | None = 1):
     return quickstart_system(
         partition_capacity=capacity,
         params=params,
@@ -109,7 +108,6 @@ def make_bench_system(seed: str, capacity: int, params: str = "toy64",
         system_bound=system_bound or capacity,
         pipeline=pipeline,
         workers=workers,
-        precompute=precompute,
     )
 
 

@@ -230,8 +230,7 @@ def quickstart_system(partition_capacity: int = 1000,
                       auto_repartition: bool = True,
                       system_bound: Optional[int] = None,
                       pipeline: bool = True,
-                      workers: Optional[int] = None,
-                      precompute: bool = False) -> System:
+                      workers: Optional[int] = None) -> System:
     """Stand up a complete single-admin deployment.
 
     Performs manufacturing (device + IAS registration), enclave load,
@@ -251,8 +250,6 @@ def quickstart_system(partition_capacity: int = 1000,
     ``workers`` configures the enclave's parallel engine (:mod:`repro.par`)
     for partition-independent work — ``None`` defers to ``REPRO_WORKERS``,
     else serial.  Any worker count produces byte-identical results.
-    ``precompute`` additionally builds fixed-base wNAF tables for the
-    public-key bases in the enclave and in every worker process.
     """
     rng = rng or SystemRng()
     pairing_group = PairingGroup(preset(params))
@@ -269,7 +266,6 @@ def quickstart_system(partition_capacity: int = 1000,
         "pairing_group": pairing_group,
         "ca_public_key": auditor.ca_public_key.encode().hex(),
         "workers": worker_count,
-        "precompute": precompute,
     }
     enclave = IbbeEnclave.load(device, enclave_config)
     auditor.approve_measurement(enclave.measurement)

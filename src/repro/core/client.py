@@ -382,8 +382,9 @@ class GroupClient:
             self._pool = WorkerPool(
                 self.workers,
                 initializer=par_kernels.init_worker,
-                initargs=(group.params.name, pk.encode(), True, False),
+                initargs=(group.params.name, pk.encode(), True),
                 inline_initializer=lambda: par_kernels.set_context(group, pk),
+                inline_finalizer=lambda: par_kernels.clear_context(pk),
                 registry=self.registry,
             )
         results = self._pool.run(

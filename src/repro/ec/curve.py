@@ -8,12 +8,18 @@ signatures) and the supersingular pairing curve ``y² = x³ + x``.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
+from repro.ec.wnaf import wnaf_digits
 from repro.errors import CurveError, ParameterError
 from repro.mathutils.modular import modinv, modsqrt
 
 Jacobian = Tuple[int, int, int]  # (X, Y, Z); point at infinity has Z == 0
+Affine = Optional[Tuple[int, int]]  # (x, y); None is the point at infinity
+
+#: wNAF width of variable-base multiplication: 2^(w-2) = 8 odd multiples
+#: are built per call, against ≈ bits/(w+1) additions saved.
+MUL_WIDTH = 5
 
 
 class Curve:
@@ -126,20 +132,78 @@ class Curve:
         Z3 = ((Z1 + Z2) ** 2 - Z1Z1 - Z2Z2) % p * H % p
         return (X3, Y3, Z3)
 
+    def _jac_add_affine(self, pt: Jacobian, x2: int, y2: int) -> Jacobian:
+        """Mixed addition ``pt + (x2, y2)`` with an affine (Z = 1) addend.
+
+        Saves the addend's Z powers against :meth:`_jac_add`; every table
+        entry and public-key base is affine, so this is the hot addition.
+        """
+        X1, Y1, Z1 = pt
+        if Z1 == 0:
+            return (x2, y2, 1)
+        p = self.p
+        Z1Z1 = Z1 * Z1 % p
+        H = (x2 * Z1Z1 - X1) % p
+        r = 2 * (y2 * Z1 % p * Z1Z1 - Y1) % p
+        if H == 0:
+            if r != 0:
+                return (1, 1, 0)
+            return self._jac_double(pt)
+        HH = H * H % p
+        I = 4 * HH % p
+        J = H * I % p
+        V = X1 * I % p
+        X3 = (r * r - J - 2 * V) % p
+        Y3 = (r * (V - X3) - 2 * Y1 * J) % p
+        Z3 = ((Z1 + H) ** 2 - Z1Z1 - HH) % p
+        return (X3, Y3, Z3)
+
+    def _batch_affine(self, pts: List[Jacobian]) -> List[Affine]:
+        """Normalise many Jacobian points with one inversion (Montgomery's
+        trick); points at infinity map to ``None``."""
+        p = self.p
+        prefix = []
+        acc = 1
+        for _, _, Z in pts:
+            prefix.append(acc)
+            if Z:
+                acc = acc * Z % p
+        inv = modinv(acc, p)
+        out: List[Affine] = [None] * len(pts)
+        for i in range(len(pts) - 1, -1, -1):
+            X, Y, Z = pts[i]
+            if not Z:
+                continue
+            zinv = inv * prefix[i] % p
+            inv = inv * Z % p
+            zinv2 = zinv * zinv % p
+            out[i] = (X * zinv2 % p, Y * zinv2 % p * zinv % p)
+        return out
+
     def _jac_mul(self, pt: Jacobian, k: int) -> Jacobian:
+        """``k·pt`` by width-5 wNAF over batch-normalised odd multiples."""
         if k == 0 or pt[2] == 0:
             return (1, 1, 0)
+        p = self.p
         if k < 0:
-            pt = (pt[0], (-pt[1]) % self.p, pt[2])
+            pt = (pt[0], (-pt[1]) % p, pt[2])
             k = -k
-        result: Jacobian = (1, 1, 0)
-        addend = pt
-        while k:
-            if k & 1:
-                result = self._jac_add(result, addend)
-            addend = self._jac_double(addend)
-            k >>= 1
-        return result
+        twice = self._jac_double(pt)
+        odd = [pt]   # P, 3P, 5P, …
+        for _ in range((1 << (MUL_WIDTH - 2)) - 1):
+            odd.append(self._jac_add(odd[-1], twice))
+        table = self._batch_affine(odd)
+        acc: Jacobian = (1, 1, 0)
+        for digit in reversed(wnaf_digits(k, MUL_WIDTH)):
+            acc = self._jac_double(acc)
+            if digit:
+                entry = table[abs(digit) >> 1]
+                if entry is not None:
+                    x, y = entry
+                    acc = self._jac_add_affine(
+                        acc, x, y if digit > 0 else (-y) % p
+                    )
+        return acc
 
     def _to_affine(self, pt: Jacobian) -> "Point":
         X, Y, Z = pt
@@ -168,9 +232,7 @@ class Curve:
                 self, self._generator._jac(),
                 bits=(self.order or self.p).bit_length(),
             )
-        negate = k < 0
-        point = self._to_affine(self._gen_table.mul(abs(k)))
-        return -point if negate else point
+        return self._to_affine(self._gen_table.mul(k))
 
     def multi_mul(self, pairs) -> "Point":
         """Compute ``Σ k_i · P_i`` (interleaved double-and-add).
@@ -181,18 +243,17 @@ class Curve:
         pairs = [(k, pt) for k, pt in pairs if k != 0 and not pt.is_infinity()]
         if not pairs:
             return self.infinity()
-        jacs = [
-            ((x, y, 1) if k >= 0 else (x, (-y) % self.p, 1), abs(k))
-            for (k, pt) in pairs
-            for (x, y) in [(pt.x, pt.y)]
+        bases = [
+            (pt.x, pt.y if k > 0 else (-pt.y) % self.p, abs(k))
+            for k, pt in pairs
         ]
-        max_bits = max(k.bit_length() for _, k in jacs)
+        max_bits = max(k.bit_length() for _, _, k in bases)
         acc: Jacobian = (1, 1, 0)
         for bit in range(max_bits - 1, -1, -1):
             acc = self._jac_double(acc)
-            for base, k in jacs:
+            for x, y, k in bases:
                 if (k >> bit) & 1:
-                    acc = self._jac_add(acc, base)
+                    acc = self._jac_add_affine(acc, x, y)
         return self._to_affine(acc)
 
     def __eq__(self, other: object) -> bool:

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: Process-wide precomputation metrics: ``ec.precomp.tables`` (tables
 #: built), ``ec.precomp.hits`` (exponentiations served by a table),
-#: ``ec.precomp.misses`` (exponentiations that ran a full ladder).
+#: ``ec.precomp.misses`` (exponentiations of a base without a table).
 #: Registered as a worker source so counters bumped inside pool workers
 #: are merged back into the parent process after each traced dispatch.
 registry = register_worker_source(MetricRegistry())
@@ -38,8 +38,9 @@ TABLES = registry.counter("ec.precomp.tables")
 HITS = registry.counter("ec.precomp.hits")
 MISSES = registry.counter("ec.precomp.misses")
 
-#: Default window width; 2^(w-2) table entries per digit position.
-DEFAULT_WIDTH = 5
+#: Default window width of the fixed-base tables: 2^(w-2) = 4 affine
+#: entries per digit position keeps a 160-bit table near 650 points.
+DEFAULT_WIDTH = 4
 
 
 def wnaf_digits(k: int, width: int = DEFAULT_WIDTH) -> List[int]:
@@ -72,40 +73,43 @@ def wnaf_digits(k: int, width: int = DEFAULT_WIDTH) -> List[int]:
 class FixedBaseWnaf:
     """Per-digit-position odd-multiple tables for one fixed curve point.
 
-    ``rows[i][t]`` holds ``(2t+1) · 2^i · B`` in Jacobian coordinates, so a
-    recoded scalar is evaluated with one mixed addition per non-zero digit
-    and *no* doublings; negative digits negate the looked-up point, which
-    costs one field subtraction.
+    ``entries[(i << (width-2)) + t]`` holds ``(2t+1) · 2^i · B`` as an
+    affine pair (``None`` at infinity), normalised in one batch when the
+    table is built.  A recoded scalar is then evaluated with one mixed
+    addition per non-zero digit and *no* doublings; negative digits
+    negate the looked-up point, which costs one field subtraction.
     """
 
-    __slots__ = ("curve", "width", "rows")
+    __slots__ = ("curve", "width", "entries")
 
     def __init__(self, curve: "Curve", base: "Jacobian",
                  bits: int, width: int = DEFAULT_WIDTH) -> None:
         self.curve = curve
         self.width = width
-        rows: List[List["Jacobian"]] = []
-        entries = 1 << (width - 2)
+        rows: List["Jacobian"] = []
         for _ in range(bits + 2):
             twice = curve._jac_double(base)
-            row = [base]
-            for _ in range(entries - 1):
-                row.append(curve._jac_add(row[-1], twice))
-            rows.append(row)
+            rows.append(base)
+            for _ in range((1 << (width - 2)) - 1):
+                rows.append(curve._jac_add(rows[-1], twice))
             base = twice
-        self.rows = rows
+        self.entries = curve._batch_affine(rows)
         TABLES.add()
 
     def mul(self, k: int) -> "Jacobian":
-        """``k · B`` for ``0 <= k < 2^bits`` (Jacobian result)."""
+        """``k · B`` for ``|k| < 2^bits`` (Jacobian result)."""
         HITS.add()
         curve = self.curve
         p = curve.p
+        shift = self.width - 2
+        negate = k < 0
         acc: "Jacobian" = (1, 1, 0)
-        for i, digit in enumerate(wnaf_digits(k, self.width)):
+        for i, digit in enumerate(wnaf_digits(abs(k), self.width)):
             if digit:
-                x, y, z = self.rows[i][(abs(digit) - 1) >> 1]
-                if digit < 0:
-                    y = p - y
-                acc = curve._jac_add(acc, (x, y, z))
+                entry = self.entries[(i << shift) + (abs(digit) >> 1)]
+                if entry is not None:
+                    x, y = entry
+                    if (digit < 0) != negate:
+                        y = (-y) % p
+                    acc = curve._jac_add_affine(acc, x, y)
         return acc

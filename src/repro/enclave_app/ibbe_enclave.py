@@ -94,7 +94,7 @@ class IbbeEnclave(Enclave):
     # Engine knobs are performance-only (results are byte-identical at
     # any worker count), so they stay out of the audited identity — a
     # redeploy with more workers must still unseal its MSK.
-    UNMEASURED_CONFIG = frozenset({"workers", "precompute"})
+    UNMEASURED_CONFIG = frozenset({"workers"})
 
     def __init__(self, device, config=None) -> None:
         super().__init__(device, config)
@@ -138,7 +138,6 @@ class IbbeEnclave(Enclave):
         # created lazily on first use (it needs the public key) and its
         # par.* metrics ride this enclave's meter registry.
         self._workers = resolve_workers((self.config or {}).get("workers"))
-        self._precompute = bool((self.config or {}).get("precompute", False))
         self._pool: Optional[WorkerPool] = None
         self.meter.registry.gauge("par.workers", lambda: self._workers)
 
@@ -151,19 +150,15 @@ class IbbeEnclave(Enclave):
     # -- system lifecycle -------------------------------------------------------
 
     @ecall
-    def setup_system(self, m: int,
-                     precompute: bool = False,
-                     ) -> Tuple[ibbe.IbbePublicKey, bytes]:
+    def setup_system(self, m: int) -> Tuple[ibbe.IbbePublicKey, bytes]:
         """IBBE system setup bound to partition capacity ``m`` (Fig. 6a).
 
         Returns the public key and the MSK sealed for persistence.  The
-        plaintext MSK never crosses the boundary.  ``precompute`` enables
-        fixed-base window tables (see :func:`repro.ibbe.setup`).
+        plaintext MSK never crosses the boundary.
         """
         if self._msk is not None:
             raise EnclaveError("system already set up")
-        msk, pk = ibbe.setup(self._group, m, self.rng,
-                             precompute=precompute)
+        msk, pk = ibbe.setup(self._group, m, self.rng)
         self._install_msk(msk, pk)
         sealed = self.seal_data(self._encode_msk(msk), aad=b"ibbe-msk")
         return pk, sealed
@@ -178,9 +173,7 @@ class IbbeEnclave(Enclave):
     def _install_msk(self, msk: ibbe.IbbeMasterSecret,
                      pk: ibbe.IbbePublicKey) -> None:
         self._msk = msk
-        self._pk = pk
-        if self._precompute:
-            pk.enable_precomputation()
+        self._pk = pk.enable_precomputation()
         self.track_secret(msk.gamma.to_bytes(32, "big"))
         self.track_secret(msk.g.encode())
 
@@ -584,9 +577,9 @@ class IbbeEnclave(Enclave):
             self._pool = WorkerPool(
                 self._workers,
                 initializer=par_kernels.init_worker,
-                initargs=(group.params.name, pk.encode(), False,
-                          self._precompute),
+                initargs=(group.params.name, pk.encode(), False),
                 inline_initializer=lambda: par_kernels.set_context(group, pk),
+                inline_finalizer=lambda: par_kernels.clear_context(pk),
                 registry=self.meter.registry,
             )
         return self._pool

@@ -63,8 +63,9 @@ class IbbePublicKey:
 
         These three are the only bases ``encrypt_msk`` / ``rekey_from_c3``
         exponentiate with fresh scalars, so this turns the per-partition
-        cost of Algorithms 1-3 from three full ladders into sparse
-        table lookups.  The parallel engine enables it per worker process.
+        cost of Algorithms 1-3 from variable-base multiplications into
+        sparse table lookups.  :func:`setup`, the enclave and every
+        engine worker process build them.
         """
         self.h.enable_precomputation()
         self.w.enable_precomputation()
@@ -204,20 +205,18 @@ class IbbeCiphertext:
 # Setup and key extraction (identical for IBBE and IBBE-SGX)
 # ---------------------------------------------------------------------------
 
-def setup(group: PairingGroup, m: int, rng: Rng,
-          precompute: bool = False) -> Tuple[IbbeMasterSecret, IbbePublicKey]:
+def setup(group: PairingGroup, m: int,
+          rng: Rng) -> Tuple[IbbeMasterSecret, IbbePublicKey]:
     """System setup for maximal broadcast-set size ``m`` — O(m).
 
     Under IBBE-SGX the bound applies per *partition*, which is why the
     partitioning mechanism shrinks both this setup cost and the public key
     size (paper §IV-C).
 
-    ``precompute=True`` builds fixed-base window tables for the long-lived
-    elements ``w``, ``v`` and ``h`` that every membership operation
-    exponentiates, speeding those operations by 2-3×.  Off by default to
-    keep the cost profile faithful to the paper's PBC implementation
-    (which exponentiates without precomputation); the ablation benchmark
-    quantifies the difference.
+    The returned key carries fixed-base tables for ``w``, ``v`` and ``h``
+    (:meth:`IbbePublicKey.enable_precomputation`); ``h``'s is built first
+    so the ``m`` powers ``h^(γ^t)`` already use it.  ``g`` gets no table:
+    only key extraction exponentiates it.
     """
     if m < 1:
         raise ParameterError("maximal broadcast size m must be >= 1")
@@ -226,20 +225,14 @@ def setup(group: PairingGroup, m: int, rng: Rng,
     h = group.g1 ** group.random_scalar(rng)
     w = g ** gamma
     v = group.pair(g, h)
-    if precompute:
-        h.enable_precomputation()
-        w.enable_precomputation()
-        v.enable_precomputation()
-        g.enable_precomputation()   # extract exponentiates g per user
+    h.enable_precomputation()
     h_powers: List[G1Element] = [h]
     acc = 1
     for _ in range(m):
         acc = (acc * gamma) % group.q
         h_powers.append(h ** acc)
-    return (
-        IbbeMasterSecret(g=g, gamma=gamma),
-        IbbePublicKey(group=group, m=m, w=w, v=v, h_powers=tuple(h_powers)),
-    )
+    pk = IbbePublicKey(group=group, m=m, w=w, v=v, h_powers=tuple(h_powers))
+    return IbbeMasterSecret(g=g, gamma=gamma), pk.enable_precomputation()
 
 
 def extract(msk: IbbeMasterSecret, pk: IbbePublicKey,

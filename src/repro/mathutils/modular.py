@@ -58,10 +58,15 @@ def modsqrt(a: int, p: int) -> int:
         return 0
     if p == 2:
         return a
+    if p % 4 == 3:
+        # Take the candidate root first: squaring it back is the
+        # residuosity test, so no separate Jacobi symbol is needed.
+        r = pow(a, (p + 1) // 4, p)
+        if r * r % p != a:
+            raise MathError(f"{a} is not a quadratic residue modulo {p}")
+        return r
     if jacobi_symbol(a, p) != 1:
         raise MathError(f"{a} is not a quadratic residue modulo {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     # Tonelli-Shanks for p ≡ 1 (mod 4).
     q, s = p - 1, 0
     while q % 2 == 0:

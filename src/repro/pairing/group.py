@@ -9,7 +9,7 @@ interface, matching the paper's use of PBC.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.ec.curve import Curve, Point
 from repro.ec.wnaf import HITS as _precomp_hits
@@ -136,13 +136,11 @@ class G1Element:
 
     def enable_precomputation(self) -> "G1Element":
         """Build a fixed-base wNAF table so subsequent exponentiations of
-        THIS element cost ~q_bits/(w+1) mixed additions instead of a full
-        double-and-add ladder (about 6× on the std160 preset).
+        THIS element cost ~q_bits/(w+1) mixed additions and no doublings.
 
-        Used for the long-lived public-key elements (w, v, h) that every
-        membership operation exponentiates (paper Algorithms 1-3), and by
-        the parallel engine's worker processes, which build the tables
-        once per process at pool start-up."""
+        Built for the long-lived public-key elements (w, v, h) that every
+        membership operation exponentiates (paper Algorithms 1-3), in the
+        enclave and once per worker process (idempotent)."""
         if self._wnaf_table is None and not self.point.is_infinity():
             self._wnaf_table = FixedBaseWnaf(
                 self.group.curve, self.point._jac(),
@@ -205,17 +203,15 @@ class GTElement:
         """
         if self._wnaf_table is None and self.raw != (1, 0):
             p = self.group.p
-            entries = 1 << (DEFAULT_WIDTH - 2)
-            rows = []
+            entries: List[RawFp2] = []
             base = self.raw
             for _ in range(self.group.q.bit_length() + 2):
                 twice = fp2_mul(base, base, p)
-                row = [base]
-                for _ in range(entries - 1):
-                    row.append(fp2_mul(row[-1], twice, p))
-                rows.append(row)
+                entries.append(base)
+                for _ in range((1 << (DEFAULT_WIDTH - 2)) - 1):
+                    entries.append(fp2_mul(entries[-1], twice, p))
                 base = twice
-            self._wnaf_table = rows
+            self._wnaf_table = entries
             _precomp_tables.add()
         return self
 
@@ -234,10 +230,11 @@ class GTElement:
         if self._wnaf_table is not None:
             _precomp_hits.add()
             p = self.group.p
+            shift = DEFAULT_WIDTH - 2
             acc: RawFp2 = (1, 0)
             for i, digit in enumerate(wnaf_digits(exponent)):
                 if digit:
-                    entry = self._wnaf_table[i][(abs(digit) - 1) >> 1]
+                    entry = self._wnaf_table[(i << shift) + (abs(digit) >> 1)]
                     if digit < 0:
                         entry = fp2_conj(entry, p)
                     acc = fp2_mul(acc, entry, p)

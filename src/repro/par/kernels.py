@@ -38,14 +38,24 @@ def set_context(group: PairingGroup, pk: IbbePublicKey) -> None:
     _CONTEXT = (group, pk)
 
 
+def clear_context(pk: IbbePublicKey) -> None:
+    """Drop the installed context if it holds ``pk`` (pool close), so a
+    closed deployment's key and its tables are not kept alive here."""
+    global _CONTEXT
+    if _CONTEXT is not None and _CONTEXT[1] is pk:
+        _CONTEXT = None
+
+
 def init_worker(preset_name: str, pk_bytes: bytes,
-                full_pk: bool = True, precompute: bool = True) -> None:
+                full_pk: bool = True) -> None:
     """Pool initializer: rebuild the context from wire-format inputs.
 
     ``full_pk=False`` decodes only the ``(w, v, h)`` bases the
     partition-build kernels touch, skipping the ``m`` point
     decompressions of the ``h``-power ladder (one modular square root
     each — seconds for large ``m``).  Hint kernels need the full key.
+    The fixed-base tables for ``w``, ``v`` and ``h`` are built here,
+    once per process.
     """
     from repro.pairing.params import preset
 
@@ -54,9 +64,7 @@ def init_worker(preset_name: str, pk_bytes: bytes,
         pk = IbbePublicKey.decode(pk_bytes, group)
     else:
         pk = _decode_pk_bases(pk_bytes, group)
-    if precompute:
-        pk.enable_precomputation()
-    set_context(group, pk)
+    set_context(group, pk.enable_precomputation())
 
 
 def _require_context() -> Tuple[PairingGroup, IbbePublicKey]:

@@ -116,6 +116,7 @@ class WorkerPool:
                  initializer: Optional[Callable[..., None]] = None,
                  initargs: Sequence[Any] = (),
                  inline_initializer: Optional[Callable[[], None]] = None,
+                 inline_finalizer: Optional[Callable[[], None]] = None,
                  registry: Optional[MetricRegistry] = None) -> None:
         self.workers = resolve_workers(workers)
         self.registry = registry if registry is not None else MetricRegistry()
@@ -133,6 +134,7 @@ class WorkerPool:
         self._initializer = initializer
         self._initargs: Tuple[Any, ...] = tuple(initargs)
         self._inline_initializer = inline_initializer
+        self._inline_finalizer = inline_finalizer
         self._inline_ready = False
         self._executor: Optional[ProcessPoolExecutor] = None
 
@@ -274,8 +276,10 @@ class WorkerPool:
         return self._executor is not None
 
     def close(self) -> None:
-        """Shut the process pool down (idempotent; the pool restarts
-        lazily on the next parallel ``run``)."""
+        """Shut the process pool down and undo the inline initializer
+        (idempotent; the pool restarts lazily on the next ``run``)."""
+        if self._inline_finalizer is not None:
+            self._inline_finalizer()
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None

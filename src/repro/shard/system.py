@@ -161,7 +161,6 @@ class ShardedSystem:
             "pairing_group": self.pairing_group,
             "ias_report_key": self.ias.report_public_key.encode().hex(),
             "workers": self._workers,
-            "precompute": False,
         }
 
     def _build_shard(self, index: int, system_bound: Optional[int]) -> Shard:

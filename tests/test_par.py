@@ -262,6 +262,13 @@ def test_gt_precomputation_matches_pow(group):
     assert plain == fast
 
 
+def test_setup_builds_public_key_tables(group):
+    from repro import ibbe
+    msk, pk = ibbe.setup(group, m=3, rng=DeterministicRng("tables"))
+    assert all(base._wnaf_table is not None for base in (pk.w, pk.v, pk.h))
+    assert msk.g._wnaf_table is None
+
+
 def test_precomputation_metrics(group):
     from repro.ec import precomp_registry
     before = precomp_registry.snapshot().get("ec.precomp.hits", 0)
@@ -271,3 +278,68 @@ def test_precomputation_metrics(group):
     _ = h ** 12345
     after = precomp_registry.snapshot()["ec.precomp.hits"]
     assert after > before
+
+
+def _precomp_delta(fn):
+    from repro.ec import precomp_registry
+    before = precomp_registry.snapshot()
+    fn()
+    after = precomp_registry.snapshot()
+    return (after["ec.precomp.hits"] - before["ec.precomp.hits"],
+            after["ec.precomp.misses"] - before["ec.precomp.misses"])
+
+
+def test_membership_ops_use_public_key_tables():
+    """Exact table accounting of a group build, a revocation and a join.
+
+    Building a partition raises only table bases (``C3 = h^∏``,
+    ``C2 = h^(∏·k)``, ``w^-k``, ``v^k``).  ``remove_user`` re-keys every
+    partition: one table hit each for ``w^-k`` and ``v^k`` and one miss
+    for the variable base ``C3^k``, plus the hosting partition's
+    ``C3^(1/(γ+H(u)))`` miss.  Every admin signature is one hit on the
+    P-256 generator table.  ``add_user`` into a partition with room is
+    two misses (``C2``, ``C3`` raised to ``γ+H(u)``).  Losing the tables
+    again turns the hits into misses.
+    """
+    system = _build_system(1)
+    try:
+        admin = system.admin
+        # 3 partitions × (h, h, w, v) + 4 signatures, no misses.
+        assert _precomp_delta(lambda: admin.create_group(
+            "g", [f"u{i}" for i in range(10)])) == (3 * 4 + 4, 0)
+        assert len(admin.group_state("g").records) == 3
+        # 3 partitions × (w, v) + 4 signatures (3 records, 1 descriptor).
+        assert _precomp_delta(lambda: admin.remove_user("g", "u3")) == (
+            3 * 2 + 4, 3 + 1)
+        # 2 signatures (the record and the descriptor).
+        assert _precomp_delta(lambda: admin.add_user("g", "new")) == (2, 2)
+    finally:
+        system.close()
+
+
+def _kernel_keys():
+    """Every IbbePublicKey reachable from repro.par.kernels' globals."""
+    from repro.ibbe import IbbePublicKey
+    from repro.par import kernels
+
+    found, stack = [], list(vars(kernels).values())
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, IbbePublicKey):
+            found.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+    return found
+
+
+@pytest.mark.parametrize("teardown", ["system_close", "enclave_destroy"])
+def test_closed_system_key_not_retained_by_kernels(teardown):
+    system = _build_system(1)
+    system.admin.create_group("g", [f"u{i}" for i in range(6)])
+    key = system.public_key.encode()
+    assert any(pk.encode() == key for pk in _kernel_keys())
+    if teardown == "system_close":
+        system.close()
+    else:
+        system.enclave.destroy()
+    assert not any(pk.encode() == key for pk in _kernel_keys())

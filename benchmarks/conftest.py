@@ -98,7 +98,6 @@ def toy_group() -> PairingGroup:
 def make_bench_system(seed: str, capacity: int, params: str = "toy64",
                       system_bound: int | None = None,
                       auto_repartition: bool = True,
-                      pipeline: bool = True,
                       workers: int | None = 1):
     return quickstart_system(
         partition_capacity=capacity,
@@ -106,7 +105,6 @@ def make_bench_system(seed: str, capacity: int, params: str = "toy64",
         rng=DeterministicRng(f"bench:{seed}"),
         auto_repartition=auto_repartition,
         system_bound=system_bound or capacity,
-        pipeline=pipeline,
         workers=workers,
     )
 

@@ -229,7 +229,6 @@ def quickstart_system(partition_capacity: int = 1000,
                       latency: Optional[LatencyModel] = None,
                       auto_repartition: bool = True,
                       system_bound: Optional[int] = None,
-                      pipeline: bool = True,
                       workers: Optional[int] = None) -> System:
     """Stand up a complete single-admin deployment.
 
@@ -241,11 +240,6 @@ def quickstart_system(partition_capacity: int = 1000,
     IBBE public key is linear in it); it defaults to ``partition_capacity``
     and must be raised at setup time if partitions may later grow (e.g.
     under the adaptive-sizing extension).
-
-    ``pipeline`` selects the administrator's batched operation pipeline
-    (one enclave crossing + one cloud commit per mutation, the default);
-    ``pipeline=False`` replays the sequential call-per-ecall,
-    request-per-object behaviour for comparison.
 
     ``workers`` configures the enclave's parallel engine (:mod:`repro.par`)
     for partition-independent work — ``None`` defers to ``REPRO_WORKERS``,
@@ -281,7 +275,6 @@ def quickstart_system(partition_capacity: int = 1000,
         partition_capacity=partition_capacity,
         rng=rng,
         auto_repartition=auto_repartition,
-        pipeline=pipeline,
     )
     return System(
         group=pairing_group, device=device, enclave=enclave, ias=ias,

@@ -145,9 +145,8 @@ class CloudMetrics:
     """Round-trip accounting shared by every store implementation.
 
     Values live in a ``repro.obs`` :class:`~repro.obs.MetricRegistry`
-    under the ``cloud.*`` namespace; the attributes and the flat
-    :meth:`snapshot` are the compatibility shim over it (see
-    :class:`~repro.obs.CounterField`).
+    under the ``cloud.*`` namespace; the attributes read and write its
+    counters (see :class:`~repro.obs.CounterField`).
     """
 
     requests = CounterField("cloud.requests")
@@ -161,16 +160,6 @@ class CloudMetrics:
         for name in ("cloud.requests", "cloud.bytes_in", "cloud.bytes_out",
                      "cloud.batch_commits", "cloud.simulated_latency_ms"):
             self.registry.counter(name)
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flat legacy view; prefer ``metrics.registry.snapshot()`` (dotted)."""
-        return {
-            "requests": self.requests,
-            "bytes_in": self.bytes_in,
-            "bytes_out": self.bytes_out,
-            "batch_commits": self.batch_commits,
-            "simulated_latency_ms": self.simulated_latency_ms,
-        }
 
     def reset(self) -> None:
         self.registry.reset()

@@ -8,13 +8,10 @@ zero-knowledge tests run these exact code paths.
 
 Every mutation is expressed as an :class:`~repro.core.pipeline.OpPlan`
 (enclave batch + ordered cloud effects) executed by one shared
-:meth:`GroupAdministrator._commit_plan` path.  With ``pipeline=True`` (the
-default) the enclave work runs in a single
-:meth:`~repro.sgx.enclave.Enclave.call_batch` crossing and the cloud
-writes land in a single atomic :meth:`~repro.cloud.store.CloudStore.commit`
-round trip; ``pipeline=False`` replays the plan with per-ecall calls and
-per-object requests — the seed behaviour, kept as the reference for the
-equivalence tests and the before/after boundary-cost benchmarks.
+:meth:`GroupAdministrator._commit_plan` path: the enclave work runs in a
+single :meth:`~repro.sgx.enclave.Enclave.call_batch` crossing and the
+cloud writes land in a single atomic
+:meth:`~repro.cloud.store.CloudStore.commit` round trip.
 """
 
 from __future__ import annotations
@@ -45,20 +42,25 @@ from repro.core.pipeline import (
 from repro.crypto import ecdsa
 from repro.crypto.rng import Rng, SystemRng
 from repro.enclave_app.ibbe_enclave import IbbeEnclave, PartitionBlob
-from repro.errors import AccessControlError, MembershipError, SealingError
+from repro.errors import (
+    AccessControlError,
+    MembershipError,
+    NotFoundError,
+    SealingError,
+)
 from repro.faults.plan import crash_point
 from repro.faults.retry import RetryPolicy
 from repro.obs.metrics import CounterField, MetricRegistry
 from repro.obs.spans import span as _span
-from repro.sgx.enclave import ResultRef, resolve_batch_args
+from repro.sgx.enclave import ResultRef
 
 
 class AdminMetrics:
     """Operation counters for the macrobenchmarks.
 
     Backed by a ``repro.obs`` registry under the ``admin.*`` namespace;
-    the attributes and flat :meth:`snapshot` are the compatibility shim
-    (see :class:`~repro.obs.CounterField`).
+    the attributes read and write its counters (see
+    :class:`~repro.obs.CounterField`).
     """
 
     _FIELDS = ("groups_created", "users_added", "users_removed", "rekeys",
@@ -79,12 +81,8 @@ class AdminMetrics:
         for field in self._FIELDS:
             self.registry.counter(f"admin.{field}")
         #: Per-mutation latency distribution (one observation per
-        #: committed plan); ``snapshot()`` reports p50/p95/p99.
+        #: committed plan); ``registry.snapshot()`` reports p50/p95/p99.
         self.op_seconds = self.registry.histogram("admin.op.seconds")
-
-    def snapshot(self) -> Dict[str, int]:
-        """Flat legacy view; prefer ``metrics.registry.snapshot()`` (dotted)."""
-        return {field: getattr(self, field) for field in self._FIELDS}
 
     def reset(self) -> None:
         self.registry.reset()
@@ -106,7 +104,6 @@ class GroupAdministrator:
                  partition_capacity: int,
                  rng: Optional[Rng] = None,
                  auto_repartition: bool = True,
-                 pipeline: bool = True,
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         if partition_capacity < 1:
             raise AccessControlError("partition capacity must be >= 1")
@@ -114,7 +111,6 @@ class GroupAdministrator:
         self.cloud = cloud
         self.partition_capacity = partition_capacity
         self.auto_repartition = auto_repartition
-        self.pipeline = pipeline
         self._signing_key = signing_key
         self._rng = rng or SystemRng()
         self.metrics = AdminMetrics()
@@ -246,8 +242,7 @@ class GroupAdministrator:
             seen.add(user)
 
         # Placement phase: route every user (mutating the table and
-        # drawing placement randomness) before any enclave work, so the
-        # pipeline and sequential modes consume the RNG identically.
+        # drawing placement randomness) before any enclave work.
         placements: Dict[int, _Placement] = {}
         for user in users:
             pid = state.table.pick_open_partition(self._rng)
@@ -336,36 +331,16 @@ class GroupAdministrator:
             epoch=state.epoch + 1,
             next_partition_id=state.table.next_partition_id,
         ).signed(self._signing_key)
-        if self.pipeline:
-            batch = CloudBatch()
-            batch.put(dpath, tombstone,
-                      expected_version=state.descriptor_version)
-            for pid in pids:
-                batch.delete(partition_path(group_id, pid),
-                             ignore_missing=True)
-            batch.delete(spath, ignore_missing=True)
-            batch.delete(dpath)
-            self.retry.run(lambda: self.cloud.commit(batch),
-                           label="admin.delete_group")
-        else:
-            self.retry.run(
-                lambda: self.cloud.put(
-                    dpath, tombstone,
-                    expected_version=state.descriptor_version),
-                label="admin.delete_group.tombstone",
-            )
-            for pid in pids:
-                path = partition_path(group_id, pid)
-                if self.retry.run(lambda p=path: self.cloud.exists(p),
-                                  label="admin.exists"):
-                    self.retry.run(lambda p=path: self.cloud.delete(p),
-                                   label="admin.delete")
-            if self.retry.run(lambda: self.cloud.exists(spath),
-                              label="admin.exists"):
-                self.retry.run(lambda: self.cloud.delete(spath),
-                               label="admin.delete")
-            self.retry.run(lambda: self.cloud.delete(dpath),
-                           label="admin.delete")
+        batch = CloudBatch()
+        batch.put(dpath, tombstone,
+                  expected_version=state.descriptor_version)
+        for pid in pids:
+            batch.delete(partition_path(group_id, pid),
+                         ignore_missing=True)
+        batch.delete(spath, ignore_missing=True)
+        batch.delete(dpath)
+        self.retry.run(lambda: self.cloud.commit(batch),
+                       label="admin.delete_group")
         self.cache.drop(group_id)
 
     # -- Algorithm 3: remove user --------------------------------------------------------
@@ -555,29 +530,24 @@ class GroupAdministrator:
     def _run_ecalls(self, ecalls: Sequence[EcallOp]) -> List[Any]:
         if not ecalls:
             return []
-        if self.pipeline:
-            return self.enclave.call_batch(
-                [(op.name, op.args) for op in ecalls]
-            )
-        results: List[Any] = []
-        for op in ecalls:
-            args = resolve_batch_args(op.args, results)
-            results.append(self.enclave.call(op.name, *args))
-        return results
+        return self.enclave.call_batch(
+            [(op.name, op.args) for op in ecalls]
+        )
 
     def _commit_effects(self, state: AdminGroupState,
                         effects: PlanEffects) -> None:
-        """Apply a plan's cloud actions.
+        """Apply a plan's cloud actions as one atomic :class:`CloudBatch`.
 
         The descriptor put always goes first and is conditional on the
         version this administrator last observed: it is the commit point —
         a lost multi-admin race raises :class:`ConflictError` before any
-        object is touched (atomically so in pipeline mode).
+        object is touched.
         """
         descriptor_data = self._encode_descriptor(state)
         dpath = descriptor_path(state.group_id)
-        # Sign the records up front so both modes do identical work.
-        staged: List[Tuple[str, Any]] = []
+        batch = CloudBatch()
+        batch.put(dpath, descriptor_data,
+                  expected_version=state.descriptor_version)
         installed: Dict[int, PartitionRecord] = {}
         dropped: List[int] = []
         for action in effects.actions:
@@ -590,61 +560,27 @@ class GroupAdministrator:
                     envelope=action.blob.envelope,
                 )
                 installed[action.pid] = record
-                staged.append(("put", (
-                    partition_path(state.group_id, action.pid),
-                    record.signed(self._signing_key),
-                )))
+                batch.put(partition_path(state.group_id, action.pid),
+                          record.signed(self._signing_key))
             elif isinstance(action, DropPartition):
                 dropped.append(action.pid)
-                staged.append(("delete",
-                               partition_path(state.group_id, action.pid)))
+                batch.delete(partition_path(state.group_id, action.pid),
+                             ignore_missing=True)
             elif isinstance(action, PushSealedKey):
                 if state.sealed_group_key:
-                    staged.append(("put", (
-                        sealed_key_path(state.group_id),
-                        state.sealed_group_key,
-                    )))
+                    batch.put(sealed_key_path(state.group_id),
+                              state.sealed_group_key)
             else:  # pragma: no cover - defensive
                 raise AccessControlError(f"unknown plan action {action!r}")
 
-        if self.pipeline:
-            batch = CloudBatch()
-            batch.put(dpath, descriptor_data,
-                      expected_version=state.descriptor_version)
-            for kind, payload in staged:
-                if kind == "put":
-                    batch.put(*payload)
-                else:
-                    batch.delete(payload, ignore_missing=True)
-            versions = self.retry.run(lambda: self.cloud.commit(batch),
-                                      label="admin.commit")
-            state.descriptor_version = versions[dpath]
-        else:
-            state.descriptor_version = self.retry.run(
-                lambda: self.cloud.put(
-                    dpath, descriptor_data,
-                    expected_version=state.descriptor_version,
-                ),
-                label="admin.put.descriptor",
-            )
-            for kind, payload in staged:
-                if kind == "put":
-                    self.retry.run(lambda p=payload: self.cloud.put(*p),
-                                   label="admin.put")
-                elif self.retry.run(lambda p=payload: self.cloud.exists(p),
-                                    label="admin.exists"):
-                    self.retry.run(lambda p=payload: self.cloud.delete(p),
-                                   label="admin.delete")
-
-        # Bookkeeping + metrics (identical in both modes).
+        versions = self.retry.run(lambda: self.cloud.commit(batch),
+                                  label="admin.commit")
+        state.descriptor_version = versions[dpath]
         for pid, record in installed.items():
             state.records[pid] = record
         for pid in dropped:
             state.records.pop(pid, None)
-        self.metrics.bytes_pushed += len(descriptor_data)
-        for kind, payload in staged:
-            if kind == "put":
-                self.metrics.bytes_pushed += len(payload[1])
+        self.metrics.bytes_pushed += batch.payload_bytes
         self.metrics.partitions_written += len(installed)
         # Our own writes are already reflected in the cached state; move
         # the sync cursor past them so the next sync_group polls only
@@ -676,8 +612,8 @@ class GroupAdministrator:
         partition records the ciphertexts, and the sealed group key is the
         opaque blob only the enclave can open.  All records are
         signature-checked against this administrator's verification key.
-        In pipeline mode the partition records and the sealed key arrive
-        in one ``get_many`` round trip.
+        The partition records and the sealed key arrive in one
+        ``get_many`` round trip.
 
         The load reads *objects*, never the event log, so its cost is
         O(state) regardless of how much history the store has compacted
@@ -738,7 +674,6 @@ class GroupAdministrator:
             if (descriptor_event is not None
                     and descriptor_event.kind == "delete"):
                 self.cache.drop(group_id)
-                from repro.errors import NotFoundError
                 raise NotFoundError(f"no object at {dpath}")
             descriptor_obj = self.retry.run(
                 lambda: self.cloud.get(dpath),
@@ -789,29 +724,18 @@ class GroupAdministrator:
             for pid in pids if pid not in cached_records
         }
         skey_path = sealed_key_path(group_id)
-        if self.pipeline:
-            objects = self.retry.run(
-                lambda: self.cloud.get_many(
-                    list(record_paths.values()) + [skey_path]
-                ),
-                label="admin.load.get_many",
-            )
-            fetch = objects.get
-        else:
-            def fetch(path: str):
-                from repro.errors import NotFoundError
-                try:
-                    return self.retry.run(lambda: self.cloud.get(path),
-                                          label="admin.load.get")
-                except NotFoundError:
-                    return None
+        objects = self.retry.run(
+            lambda: self.cloud.get_many(
+                list(record_paths.values()) + [skey_path]
+            ),
+            label="admin.load.get_many",
+        )
         for pid in pids:
             if pid in cached_records:
                 record = cached_records[pid]
             else:
-                record_obj = fetch(record_paths[pid])
+                record_obj = objects.get(record_paths[pid])
                 if record_obj is None:
-                    from repro.errors import NotFoundError
                     raise NotFoundError(
                         f"no object at {record_paths[pid]}")
                 record = PartitionRecord.verify_and_decode(
@@ -831,7 +755,7 @@ class GroupAdministrator:
         # partitions alone under-estimate it when the top partition was
         # deleted, and ids must never be reused.
         table._next_id = max(table._next_id, descriptor.next_partition_id)
-        sealed_obj = fetch(skey_path)
+        sealed_obj = objects.get(skey_path)
         if sealed_obj is not None:
             state.sealed_group_key = sealed_obj.data
         return state

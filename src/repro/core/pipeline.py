@@ -2,10 +2,8 @@
 
 Every :class:`~repro.core.admin.GroupAdministrator` mutation follows the
 same macro-shape — run some ecalls, then push descriptor + partition
-records + sealed group key to the cloud.  The seed implementation
-hand-duplicated that sequence across six mutation paths, paying one
-boundary crossing per ecall and one round trip per object.  An
-:class:`OpPlan` makes the shape explicit:
+records + sealed group key to the cloud.  An :class:`OpPlan` makes the
+shape explicit, so six mutation paths share one executor:
 
 * ``ecalls`` — the enclave work, expressed as :class:`EcallOp` entries.
   Arguments may be :class:`~repro.sgx.enclave.ResultRef` placeholders
@@ -16,12 +14,9 @@ boundary crossing per ecall and one round trip per object.  An
   drop partition, push sealed key) plus the new sealed group key, if the
   operation rotated it.
 
-``GroupAdministrator._commit_plan`` is the single executor: in pipeline
-mode the ecalls run through ``call_batch`` (ONE crossing) and the cloud
-actions through ``CloudStore.commit`` (ONE round trip, descriptor
-conditional-put first); in sequential mode the same plan replays the
-seed's call-per-ecall / request-per-object behaviour, which the
-equivalence tests and before/after benchmarks rely on.
+``GroupAdministrator._commit_plan`` is the single executor: the ecalls
+run through ``call_batch`` (ONE crossing) and the cloud actions through
+``CloudStore.commit`` (ONE round trip, descriptor conditional-put first).
 """
 
 from __future__ import annotations

@@ -13,11 +13,7 @@ never change once released, even if a class is renamed.  Use
 :func:`error_for_code` to reconstruct the closest matching exception on
 the receiving side (unknown codes degrade to plain :class:`ReproError`).
 
-Argument-validation failures raise :class:`ValidationError`, which also
-subclasses :class:`ValueError`: callers that historically caught
-``ValueError`` from e.g. :class:`~repro.faults.RetryPolicy` or the wNAF
-recoder keep working for one release while migrating to the
-``repro.errors`` type.
+Argument-validation failures raise :class:`ValidationError`.
 """
 
 from __future__ import annotations
@@ -38,12 +34,8 @@ class ParameterError(ReproError):
     code = "parameter"
 
 
-class ValidationError(ReproError, ValueError):
-    """Invalid argument to a library API (non-crypto misuse).
-
-    Subclasses :class:`ValueError` so pre-existing ``except ValueError``
-    callers keep working — the plain ``ValueError`` raises scattered
-    through the package were consolidated onto this type."""
+class ValidationError(ReproError):
+    """Invalid argument to a library API (non-crypto misuse)."""
 
     code = "validation"
 

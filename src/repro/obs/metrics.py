@@ -4,11 +4,11 @@ Every component that accounts for *where time and bytes go* — the enclave
 boundary, the cloud store, the administrator, clients, replay engines —
 keeps its numbers in a :class:`MetricRegistry` of dotted-name metrics
 (``sgx.crossings``, ``cloud.bytes_out``, ``admin.plans_committed``, …).
-The registry is the single authoritative store; the historical per-
-component metric objects (``CrossingMeter``, ``CloudMetrics``,
-``AdminMetrics``) survive as thin shims whose attributes read and write
-registry counters through :class:`CounterField`, so every pre-existing
-call site keeps working unchanged.
+The registry is the single authoritative store.  The per-component
+metric objects (``CrossingMeter``, ``CloudMetrics``, ``AdminMetrics``)
+hold no values of their own: their attributes read and write registry
+counters through :class:`CounterField`, and their ``registry`` is what
+telemetry snapshots read.
 
 The consumer-facing contract is :class:`MetricSource`: anything with
 ``snapshot() -> {dotted name: value}`` and ``reset()``.  Registries
@@ -336,12 +336,12 @@ class MetricRegistry:
 class CounterField:
     """Descriptor exposing a registry counter as a plain numeric attribute.
 
-    The deprecation-shim mechanism: legacy metric classes declare
+    Component metric classes declare
 
     ``requests = CounterField("cloud.requests")``
 
-    and existing call sites (``metrics.requests += 1``, benchmark reads)
-    keep working while the value itself lives in ``obj.registry`` — the
+    so call sites read and bump a plain attribute (``metrics.requests +=
+    1``) while the value itself lives in ``obj.registry`` — the
     consolidated :class:`MetricRegistry` that telemetry snapshots read.
     The owning object must expose that registry as ``registry``.
     """

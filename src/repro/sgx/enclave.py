@@ -142,9 +142,8 @@ class CrossingMeter:
 
     The authoritative values live in a ``repro.obs``
     :class:`~repro.obs.MetricRegistry` under the ``sgx.*`` namespace; the
-    meter's attributes and flat :meth:`snapshot` are the compatibility
-    shim over it, so existing call sites and the consolidated telemetry
-    view stay in lockstep by construction.
+    meter's attributes read and write its counters, so call sites and
+    the consolidated telemetry view stay in lockstep by construction.
     """
 
     crossings = CounterField("sgx.crossings")
@@ -178,16 +177,6 @@ class CrossingMeter:
     @property
     def estimated_cycles(self) -> int:
         return self.crossings * ECALL_CROSSING_CYCLES
-
-    def snapshot(self) -> Dict[str, int]:
-        """Flat legacy view; prefer ``meter.registry.snapshot()`` (dotted)."""
-        return {
-            "crossings": self.crossings,
-            "ecalls": self.ecalls,
-            "ocalls": self.ocalls,
-            "batches": self.batches,
-            "estimated_cycles": self.estimated_cycles,
-        }
 
     def reset(self) -> None:
         self.registry.reset()
@@ -306,16 +295,6 @@ class Enclave:
     def registry(self) -> EcallRegistry:
         """This enclave class's typed ecall dispatch table."""
         return EcallRegistry.for_class(type(self))
-
-    #: Legacy counter aliases, kept for the benchmarks and tests that read
-    #: them; the authoritative accounting lives on :attr:`meter`.
-    @property
-    def ecall_count(self) -> int:
-        return self.meter.ecalls
-
-    @property
-    def ocall_count(self) -> int:
-        return self.meter.ocalls
 
     #: Leak-scanner window: only the most recent secrets are checked, so the
     #: per-ecall scan stays O(1) across long benchmark runs.
@@ -451,11 +430,11 @@ class Enclave:
 #: non-secret identity and accounting data: the measurement is the
 #: MRENCLAVE value attested in every quote, ``device``/``config`` are
 #: untrusted-side inputs that the untrusted runtime supplied at load, and
-#: the counters/meter exist precisely for untrusted benchmarks.
+#: the crossing meter exists precisely for untrusted benchmarks.
 HANDLE_ATTRS = frozenset({
     "call", "call_batch", "register_ocall", "destroy",
     "measurement", "enclave_id", "device", "config",
-    "meter", "registry", "ecall_count", "ocall_count",
+    "meter", "registry",
 })
 
 
@@ -464,7 +443,7 @@ class EnclaveHandle:
 
     :meth:`Enclave.load` returns this instead of the enclave object, so
     untrusted code can only reach :data:`HANDLE_ATTRS` — notably the two
-    call doors and the public counters.  Any other attribute access
+    call doors and the crossing meter.  Any other attribute access
     raises :class:`EnclaveError`, approximating EPC memory isolation.
     """
 

@@ -102,7 +102,6 @@ class ShardedSystem:
                  latency: Optional[LatencyModel] = None,
                  auto_repartition: bool = True,
                  system_bound: Optional[int] = None,
-                 pipeline: bool = True,
                  workers: Optional[int] = None,
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         if nshards < 1:
@@ -126,7 +125,6 @@ class ShardedSystem:
             self.rng.stream("admin-signing"))
         self._partition_capacity = partition_capacity
         self._auto_repartition = auto_repartition
-        self._pipeline = pipeline
         self._workers = resolve_workers(workers)
         # Attestation handshakes consult the ambient fault injector at
         # several sites per attempt, so give the exchange more headroom
@@ -190,7 +188,6 @@ class ShardedSystem:
             partition_capacity=self._partition_capacity,
             rng=self.rng,
             auto_repartition=self._auto_repartition,
-            pipeline=self._pipeline,
         )
         system = System(
             group=self.pairing_group, device=device, enclave=enclave,

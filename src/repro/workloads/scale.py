@@ -28,8 +28,8 @@ that property.
 
 **Calibration mode** (``--calibrate``) measures the partition cost
 model's coefficients from live runs instead of trusting the
-microbenchmark defaults: ``c_rekey`` from revocation wall times across
-partition counts, ``c_decrypt`` from decrypt wall times across partition
+microbenchmark defaults: ``c_rekey`` from revocation CPU times across
+partition counts, ``c_decrypt`` from decrypt CPU times across partition
 sizes (both via :func:`repro.core.adaptive.fit_linear_cost`), attributes
 where the time goes with span aggregation and the sampling profiler, and
 emits the recommended cutoff curve ``m*(n)`` for n ∈ {10⁴, 10⁵, 10⁶}
@@ -68,6 +68,12 @@ OP_LEAVE = "leave"
 #: Group sizes the calibration cutoff curve is evaluated at — the regime
 #: the paper's sqrt(n) rule targets (§VIII sizes groups up to 10⁶).
 CURVE_SIZES = (10_000, 100_000, 1_000_000)
+
+#: Timed runs per calibration sample; the sample is their minimum.  One
+#: run cannot resolve a slope of a few microseconds (the decrypt m² term)
+#: against cache and allocator noise; the fastest run is the least
+#: disturbed.
+TIMING_SHOTS = 5
 
 #: Deterministic churn-throughput estimate used to translate a
 #: ``--duration`` budget into an op count *ahead of time* (wall-clock
@@ -894,12 +900,19 @@ def run_calibration(seed: str = "scale-cal",
 
     * ``c_rekey``: revoke one member from groups of ``rekey_sizes``
       members at a fixed capacity — the revocation re-keys every
-      partition, so wall time is linear in the partition count and the
+      partition, so its cost is linear in the partition count and the
       slope of the fit is the per-partition re-key cost.
     * ``c_decrypt``: a member decrypts its partition record at each of
       ``decrypt_sizes`` (one partition per group, a fresh client per
       measurement so the hint cache never amortizes the quadratic
       work); the slope against m² is the per-member² cost.
+
+    Each sample is the fastest of :data:`TIMING_SHOTS` timed runs, in
+    CPU seconds of the calling thread
+    (:func:`time.thread_time`; the calibration deployment is serial, so
+    every measured operation runs on it): wall time on a shared host
+    also counts the time other processes hold the CPU, which can flatten
+    or invert a slope of a few microseconds.
 
     Span aggregation (``repro.obs``) and the sampling profiler both run
     across the measurement so the report can attribute *where* the time
@@ -934,11 +947,13 @@ def run_calibration(seed: str = "scale-cal",
             partitions = len(admin.group_state(gid).table.partition_ids)
             for repeat in range(repeats):
                 victim = members[repeat]
-                t0 = time.perf_counter()
-                admin.remove_user(gid, victim)
-                rekey_samples.append(
-                    (float(partitions), time.perf_counter() - t0))
-                admin.add_user(gid, victim)     # restore for the next lap
+                shots = []
+                for _ in range(TIMING_SHOTS):
+                    t0 = time.thread_time()
+                    admin.remove_user(gid, victim)
+                    shots.append(time.thread_time() - t0)
+                    admin.add_user(gid, victim)   # restore for the next shot
+                rekey_samples.append((float(partitions), min(shots)))
         for m in decrypt_sizes:
             gid = f"cal-d{m}"
             admin.partition_capacity = m
@@ -947,12 +962,14 @@ def run_calibration(seed: str = "scale-cal",
             state = admin.group_state(gid)
             record = next(iter(state.records.values()))
             for _ in range(repeats):
-                client = system.make_client(gid, members[0])
-                client.sync()
-                t0 = time.perf_counter()
-                client.decrypt_partition(record)
-                decrypt_samples.append(
-                    (float(m) ** 2, time.perf_counter() - t0))
+                shots = []
+                for _ in range(TIMING_SHOTS):
+                    client = system.make_client(gid, members[0])
+                    client.sync()
+                    t0 = time.thread_time()
+                    client.decrypt_partition(record)
+                    shots.append(time.thread_time() - t0)
+                decrypt_samples.append((float(m) ** 2, min(shots)))
     finally:
         profiler.stop()
         obs.disable()

@@ -139,10 +139,10 @@ class TestBatchCommit:
 
     def test_commit_is_one_request(self, store):
         store.commit(CloudBatch().put("/g/p0", b"a").put("/g/p1", b"bb"))
-        snap = store.metrics.snapshot()
-        assert snap["requests"] == 1
-        assert snap["batch_commits"] == 1
-        assert snap["bytes_in"] == 3
+        snap = store.metrics.registry.snapshot()
+        assert snap["cloud.requests"] == 1
+        assert snap["cloud.batch_commits"] == 1
+        assert snap["cloud.bytes_in"] == 3
 
     def test_conditional_put_inside_batch(self, store):
         store.put("/g/descriptor", b"v1")
@@ -225,10 +225,10 @@ class TestMetricsAndLatency:
     def test_request_accounting(self, store):
         store.put("/g/p0", bytes(100))
         store.get("/g/p0")
-        snap = store.metrics.snapshot()
-        assert snap["requests"] == 2
-        assert snap["bytes_in"] == 100   # upload volume (put payloads)
-        assert snap["bytes_out"] == 100  # download volume (get payloads)
+        snap = store.metrics.registry.snapshot()
+        assert snap["cloud.requests"] == 2
+        assert snap["cloud.bytes_in"] == 100   # upload (put payloads)
+        assert snap["cloud.bytes_out"] == 100  # download (get payloads)
 
     def test_latency_model_disabled_by_default(self, store):
         store.put("/g/p0", b"x")

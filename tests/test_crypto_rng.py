@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.rng import DeterministicRng, SystemRng
+from repro.errors import ValidationError
 
 
 class TestDeterministicRng:
@@ -47,7 +48,7 @@ class TestDeterministicRng:
         assert DeterministicRng("x").randint_below(1) == 0
 
     def test_randint_invalid_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             DeterministicRng("x").randint_below(0)
 
     def test_rough_uniformity(self):

@@ -1,8 +1,8 @@
 """Telemetry subsystem (repro.obs): spans, metrics, exporters, and the
 integration guarantees the rest of the package relies on — span
 nesting/self-time invariants, the disabled no-op fast path, registry
-reset semantics, the legacy-accessor shims, and the pipeline-mode
-boundary footprint read through the new dotted metrics."""
+reset semantics, the attribute accessors over the registry, and the
+admin boundary footprint read through the dotted metrics."""
 
 import json
 
@@ -563,9 +563,9 @@ class TestSloWindow:
 
 class TestSystemTelemetry:
     def test_pipeline_mutation_is_one_crossing_one_commit(self):
-        """Regression: in pipeline mode an admin mutation costs exactly
-        one enclave crossing and one cloud commit — asserted through the
-        new dotted metrics rather than the legacy attributes."""
+        """Regression: an admin mutation costs exactly one enclave
+        crossing and one cloud commit — asserted through the dotted
+        metrics rather than the attribute accessors."""
         system = make_system("obs-pipeline", capacity=4)
         system.admin.create_group("g", ["a", "b", "c"])
         before = system.telemetry()["metrics"]
@@ -584,7 +584,7 @@ class TestSystemTelemetry:
         client.sync()
         client.current_group_key()
         metrics = system.telemetry()["metrics"]
-        # Old attribute surfaces and the consolidated registry agree.
+        # Attribute accessors and the consolidated registry agree.
         assert system.enclave.meter.crossings == metrics["sgx.crossings"]
         assert system.enclave.meter.ecalls == metrics["sgx.ecalls"]
         assert system.cloud.metrics.requests == metrics["cloud.requests"]
@@ -592,11 +592,6 @@ class TestSystemTelemetry:
         assert system.admin.metrics.users_added \
             == metrics["admin.users_added"]
         assert client.decrypt_count == metrics["client.decrypts"]
-        # Legacy flat snapshots still work.
-        assert system.cloud.metrics.snapshot()["requests"] \
-            == metrics["cloud.requests"]
-        assert system.enclave.meter.snapshot()["crossings"] \
-            == metrics["sgx.crossings"]
 
     def test_estimated_cycles_gauge(self):
         system = make_system("obs-cycles", capacity=4)
@@ -636,14 +631,3 @@ class TestSystemTelemetry:
         assert "cloud.commit" in names
         assert "admin.plan" in names
         assert "client.decrypt" in names
-
-    def test_sequential_mode_pays_per_object(self):
-        system = make_system("obs-seq", capacity=2, pipeline=False,
-                             auto_repartition=False)
-        system.admin.create_group("g", ["a", "b", "c", "d"])
-        before = system.telemetry()["metrics"]
-        system.admin.rekey("g")
-        after = system.telemetry()["metrics"]
-        # Two partitions + descriptor + sealed key: >1 request, 0 commits.
-        assert after["cloud.requests"] - before["cloud.requests"] > 1
-        assert after["cloud.batch_commits"] == before["cloud.batch_commits"]
